@@ -183,6 +183,8 @@ class HerdClientProcess:
         #: ops drawn from the stream whose partition had no free slot;
         #: issued as soon as a slot frees (graceful degradation)
         self._parked: List[Deque[Operation]] = [deque() for _ in range(ns)]
+        #: ops in all of ``_parked``, kept as a running count
+        self._n_parked = 0
         self._park_limit = 2 * config.window
         #: per-lane RECV buffer offsets in posting order (loss mode)
         self._recv_order: List[Deque[int]] = [deque() for _ in range(rf * ns)]
@@ -320,7 +322,7 @@ class HerdClientProcess:
             if self._slot_free[server]:
                 yield from self._send_op(op, server)
             elif len(self._parked[server]) < self._park_limit:
-                self._parked[server].append(op)
+                self._park(server, op)
             else:
                 self.overflow_dropped += 1
 
@@ -332,21 +334,22 @@ class HerdClientProcess:
             self._absorb(cqe)
             for server in range(self._ns):
                 while self._parked[server] and self._slot_free[server]:
-                    yield from self._send_op(self._parked[server].popleft(), server)
+                    yield from self._send_op(self._unpark(server), server)
 
     # ------------------------------------------------------------------
 
     def _issue_next(self) -> Generator[Event, None, None]:
         # Parked ops first: the oldest op whose partition has a slot
         # again (its server recovered, or a response freed a slot).
-        for server in range(len(self._parked)):
-            if self._parked[server] and self._slot_free[server]:
-                yield from self._send_op(self._parked[server].popleft(), server)
-                return
+        if self._n_parked:
+            for server in range(len(self._parked)):
+                if self._parked[server] and self._slot_free[server]:
+                    yield from self._send_op(self._unpark(server), server)
+                    return
         if self.stop_after is not None and self.sim.now >= self.stop_after:
             return  # draining: no new work
         while True:
-            if sum(len(q) for q in self._parked) >= self._park_limit:
+            if self._n_parked >= self._park_limit:
                 # Every partition we have drawn work for is saturated
                 # (e.g. its server process crashed).  Hold off; the
                 # next completion re-enters this path.
@@ -358,7 +361,15 @@ class HerdClientProcess:
                 return
             # This partition is saturated: park the op and keep the
             # closed loop running against the healthy partitions.
-            self._parked[server].append(op)
+            self._park(server, op)
+
+    def _park(self, server: int, op: Operation) -> None:
+        self._parked[server].append(op)
+        self._n_parked += 1
+
+    def _unpark(self, server: int) -> Operation:
+        self._n_parked -= 1
+        return self._parked[server].popleft()
 
     def _send_op(self, op: Operation, server: int) -> Generator[Event, None, None]:
         free = self._slot_free[server]
@@ -617,7 +628,7 @@ class HerdClientProcess:
             if record.replica != replica:
                 yield from self._replay(record)
         while self._parked[server] and self._slot_free[server]:
-            yield from self._send_op(self._parked[server].popleft(), server)
+            yield from self._send_op(self._unpark(server), server)
 
     def _replay(self, record: _Pending) -> Generator[Event, None, None]:
         """Re-aim a pending request at its partition's current primary.
@@ -906,6 +917,7 @@ class HerdClientProcess:
             self.issued -= 1
             self.reroutes += 1
             self._parked[owner].appendleft(record.op)
+            self._n_parked += 1
             return
         record.deadline = now + (self._rto() or 0.0)
         self._pending[server].append(record)

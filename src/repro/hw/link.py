@@ -4,7 +4,9 @@ InfiniBand/RoCE links are lossless (credit-based / priority flow
 control, Section 2.2.3), so the fabric never drops packets on its own.
 Each machine has one full-duplex port: a transmit-side
 :class:`~repro.sim.FifoServer` models serialisation onto the wire, and a
-fixed propagation + switch delay follows.
+fixed propagation + switch delay follows.  The two are one calendar
+entry: delivery is scheduled at serialisation end plus propagation
+(``FifoServer.serve``'s ``latency``).
 
 Failure injection happens here.  The general mechanism is a *fault
 hook* — ``fn(src, dst, packet, wire_bytes) -> Optional[LinkVerdict]`` —
@@ -68,6 +70,12 @@ class Port:
         self.deliver: DeliverFn = _unattached
         self.tx_packets = 0
         self.tx_bytes = 0
+        #: calendar callback for a packet arriving at this port (the
+        #: fired event's value); bound once, not per packet
+        self.arrive = self._arrive
+
+    def _arrive(self, fired: Any) -> None:
+        self.deliver(fired._value)
 
 
 def _unattached(packet: Any) -> None:
@@ -102,6 +110,9 @@ class Fabric:
         self.dropped = 0
         self.corrupted = 0
         self.duplicated = 0
+        # Cached once, as FifoServer does: observability attaches to
+        # the simulator before any resources exist.
+        self.tracer = getattr(sim, "tracer", None)
 
     @property
     def lossy(self) -> bool:
@@ -170,27 +181,24 @@ class Fabric:
         if verdict is not None and verdict.tx_mult != 1.0:
             tx_time *= max(1.0, verdict.tx_mult)
         dst_port = self.ports[dst]
-        tracer = getattr(self.sim, "tracer", None)
+        delay = self.profile.wire_delay_ns + extra_delay
+        tracer = self.tracer
         if tracer is not None:
+            # The span starts where serialisation starts (after any
+            # packets queued ahead on this port) and ends at arrival.
+            start = self.sim.now + port.tx.delay_until_free()
             tracer.span(
                 "wire %s->%s" % (src, dst),
-                self.sim.now,
-                self.sim.now + tx_time + self.profile.wire_delay_ns,
+                start,
+                start + tx_time + delay,
                 "%d bytes" % wire_bytes,
             )
-        delay = self.profile.wire_delay_ns + extra_delay
-        served = port.tx.serve(tx_time)
-        served.add_callback(
-            lambda _e: self.sim.call_in(delay, lambda: dst_port.deliver(packet))
-        )
+        port.tx.serve(tx_time, packet, delay).callbacks.append(dst_port.arrive)
         if verdict is not None and verdict.duplicate > 0:
             # Duplicates consume wire capacity like any other packet.
             for copy in range(verdict.duplicate):
                 self.duplicated += 1
                 dup_delay = delay + (copy + 1) * verdict.dup_delay_ns
-                dup_served = port.tx.serve(tx_time)
-                dup_served.add_callback(
-                    lambda _e, _d=dup_delay: self.sim.call_in(
-                        _d, lambda: dst_port.deliver(packet)
-                    )
+                port.tx.serve(tx_time, packet, dup_delay).callbacks.append(
+                    dst_port.arrive
                 )

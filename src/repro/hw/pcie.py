@@ -15,7 +15,10 @@ on their asymmetry (Section 3.2.2):
 
 Each path separates *occupancy* (which limits throughput) from
 *pipeline latency* (which delays an individual transaction but is
-overlapped across transactions).
+overlapped across transactions).  A DMA read or write is one calendar
+entry at the end of occupancy plus latency (``FifoServer.serve``'s
+``latency``), then a zero-delay hop to the caller's event: data lands,
+and becomes visible, only after the same instant's calendar work.
 """
 
 from __future__ import annotations
@@ -60,22 +63,16 @@ class PcieBus:
         """
         p = self.profile
         occupancy = p.dma_read_ns * transactions + payload_bytes / p.pcie_bw
-        done = self.sim.event()
-        served = self.dma.serve(occupancy)
-        served.add_callback(
-            lambda _e: self.sim.call_in(p.dma_read_latency_ns, done.succeed)
-        )
+        done = Event(self.sim)
+        self.dma.serve(occupancy, done, p.dma_read_latency_ns).callbacks.append(_land)
         return done
 
     def dma_write(self, payload_bytes: int) -> Event:
         """NIC-initiated write into host memory (posted)."""
         p = self.profile
         occupancy = p.dma_write_ns + payload_bytes / p.pcie_bw
-        done = self.sim.event()
-        served = self.dma.serve(occupancy)
-        served.add_callback(
-            lambda _e: self.sim.call_in(p.dma_write_latency_ns, done.succeed)
-        )
+        done = Event(self.sim)
+        self.dma.serve(occupancy, done, p.dma_write_latency_ns).callbacks.append(_land)
         return done
 
     def dma_atomic(self, on_locked: Optional[Callable[[], None]] = None) -> Event:
@@ -93,7 +90,9 @@ class PcieBus:
         the serialisation point — so the caller's memory mutation is
         atomic with respect to every other atomic on this bus.  The
         returned event fires after the pipeline latency, when the
-        original value is available to send back.
+        original value is available to send back.  That lock point is
+        why this path keeps its end-of-occupancy calendar entry instead
+        of fusing it with the latency like :meth:`dma_read`.
         """
         p = self.profile
         occupancy = (
@@ -112,3 +111,8 @@ class PcieBus:
 
         served.add_callback(_unlocked)
         return done
+
+
+def _land(fired: Event) -> None:
+    """Relay a fused DMA entry to the caller's event (its value)."""
+    fired._value.succeed()

@@ -47,6 +47,7 @@ identical schedules and assert identical dispatch sequences, and the
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right as _bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
@@ -316,6 +317,49 @@ class Simulator:
             # run, so pay the heap push.
             _heappush(self._cur_heap, (time, self._seq, event))
 
+    def _schedule_at(self, time: float, event: Event) -> None:
+        """Schedule ``event`` at the absolute instant ``time``.
+
+        The entry point for fused relays (docs/ENGINE.md, "Relay
+        fusion"): a station admission followed by a fixed latency is
+        one calendar entry at ``(now + (done_at - now)) + latency``,
+        the exact float a completion event plus a relative ``latency``
+        timeout would fire at (re-deriving one summed delay could land
+        an ulp away and reorder a tie).  ``time`` must not precede
+        ``now``.
+        """
+        self._seq += 1
+        if time > self._run_max:
+            self._pt_append(time)
+            self._pe_append(event)
+        elif time <= self.now:
+            self._imm_append(event)
+        else:
+            _heappush(self._cur_heap, (time, self._seq, event))
+
+    def quiet(self) -> bool:
+        """Whether no other calendar entry is due at the current instant.
+
+        Called from a calendar callback, True means a zero-delay event
+        scheduled now would be the very next one dispatched.  A callback
+        that is the sole callback of the event being dispatched, and
+        whose last action would be to schedule such a relay, may then
+        run the relay's work in place instead — no dispatch order can
+        tell the difference (docs/ENGINE.md, "Relay fusion").  Only
+        meaningful from inside a calendar callback.
+        """
+        if self._imm or self._run_max == _NEG_INF:
+            return False
+        now = self.now
+        # The dispatcher keeps its run cursor in a local, so find the
+        # last run entry due by now instead: the run is dispatched in
+        # order, and a dispatched event's callbacks are None.
+        last = _bisect_right(self._active_t, now, 0, self._run_end) - 1
+        if last >= 0 and self._active_e[last].callbacks is not None:
+            return False
+        heap = self._cur_heap
+        return not (heap and heap[0][0] <= now)
+
     def event(self) -> Event:
         """Create a fresh untriggered event."""
         return Event(self)
@@ -584,6 +628,14 @@ class HeapSimulator(Simulator):
     def _schedule(self, delay: float, event: Event) -> None:
         self._seq += 1
         _heappush(self._heap, (self.now + delay, self._seq, event))
+
+    def _schedule_at(self, time: float, event: Event) -> None:
+        self._seq += 1
+        _heappush(self._heap, (time, self._seq, event))
+
+    def quiet(self) -> bool:
+        heap = self._heap
+        return not heap or heap[0][0] > self.now
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Simulator.timeout inlines the sorted-run _schedule; the oracle

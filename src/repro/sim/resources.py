@@ -56,28 +56,38 @@ class FifoServer:
         # attribute costs more than the rest of a serve() admission.
         self.tracer = getattr(sim, "tracer", None)
 
-    def serve(self, service: float, value: Any = None) -> Event:
-        """Enqueue a job; the returned event fires at completion."""
+    def serve(self, service: float, value: Any = None, latency: float = 0.0) -> Event:
+        """Enqueue a job; the returned event fires at completion.
+
+        ``latency`` delays the event past the end of service without
+        holding the station: a fixed pipeline or propagation delay
+        after occupancy.  The event is one calendar entry at exactly
+        the instant a completion event followed by a ``latency`` timeout
+        would have fired (docs/ENGINE.md, "Relay fusion").
+        """
         if service < 0:
             raise ValueError("negative service time: %r" % service)
+        if latency < 0:
+            raise ValueError("negative latency: %r" % latency)
         sim = self.sim
+        now = sim.now
         free_at = self._free_at
         # Single-slot stations (the common case: every PCIe/NIC path)
         # skip the heap; larger stations pay one pop + push.
         if len(free_at) == 1:
             start = free_at[0]
-            if start < sim.now:
-                start = sim.now
+            if start < now:
+                start = now
             done_at = start + service
             free_at[0] = done_at
         else:
             start = heapq.heappop(free_at)
-            if start < sim.now:
-                start = sim.now
+            if start < now:
+                start = now
             done_at = start + service
             heapq.heappush(free_at, done_at)
         if self.obs is not None:
-            self.obs.observe(start - sim.now)
+            self.obs.observe(start - now)
         self.busy_time += service
         self.jobs += 1
         tracer = self.tracer
@@ -92,7 +102,9 @@ class FifoServer:
         event._value = value
         event.triggered = True
         event._scheduled = True
-        sim._schedule(done_at - sim.now, event)
+        # The same float operations as a relative schedule of the
+        # completion followed by a relative ``latency`` timeout.
+        sim._schedule_at((now + (done_at - now)) + latency, event)
         return event
 
     def delay_until_free(self) -> float:

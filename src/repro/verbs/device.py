@@ -22,11 +22,11 @@ Unsignaled verbs skip the completion DMA entirely — that is the
 from __future__ import annotations
 
 import struct
+from collections import deque
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.machine import Machine
 from repro.sim import Event
-from repro.sim.engine import all_of
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion, MrTable
 from repro.verbs.packets import Packet, PacketKind
@@ -50,30 +50,6 @@ Hook = Callable[[Packet], None]
 #: Retransmission timeout used only when the fabric injects faults.
 RC_RTO_NS = 100_000.0
 
-#: Requester-side opcode -> wire packet kind (built once; the egress
-#: path previously rebuilt this dict literal per transmitted WQE).
-_EGRESS_KIND = {
-    Opcode.WRITE: PacketKind.WRITE,
-    Opcode.SEND: PacketKind.SEND,
-    Opcode.READ: PacketKind.READ_REQ,
-    Opcode.ATOMIC_CS: PacketKind.ATOMIC_REQ,
-    Opcode.ATOMIC_FA: PacketKind.ATOMIC_REQ,
-}
-
-#: Packet kinds processed with the *requester* QP-context role at
-#: ingress (responses and ACKs come back to the original requester).
-_REQUESTER_KINDS = frozenset(
-    {PacketKind.READ_RESP, PacketKind.ACK, PacketKind.ATOMIC_RESP}
-)
-
-#: the remote read-modify-write opcodes
-_ATOMIC_OPS = frozenset({Opcode.ATOMIC_CS, Opcode.ATOMIC_FA})
-
-#: opcodes that are requests without a payload DMA fetch (the request
-#: packet carries only addressing/operands) and that consume an
-#: outstanding-read credit — the NIC holds non-posted state for them
-_FETCHLESS = frozenset({Opcode.READ}) | _ATOMIC_OPS
-
 #: atomic request wire operands: op tag, compare/add, swap
 _ATOMIC_WIRE = struct.Struct("<BQQ")
 _ATOMIC_CS_TAG = 0
@@ -83,6 +59,25 @@ _U64_MASK = (1 << 64) - 1
 #: per-source-QP replay entries the responder retains (real NICs size
 #: this as "responder resources"; 2x the requester's credit limit)
 _ATOMIC_REPLAY_DEPTH = 32
+
+
+class _Outbound:
+    """A WQE past the egress engine, waiting in its QP's transmit queue."""
+
+    __slots__ = ("qp", "wr", "ready", "first")
+
+    def __init__(self, qp: QueuePair, wr: WorkRequest, first: bool) -> None:
+        self.qp = qp
+        self.wr = wr
+        #: processed, and its payload (if any) fetched from host memory
+        self.ready = False
+        #: the QP's first WQE ever: it has no predecessor to wait for
+        self.first = first
+
+
+#: the two steps of a QP's send-order chain (see RdmaDevice._send_steps)
+_SEND = 0
+_OPEN = 1
 
 
 class RdmaDevice:
@@ -142,29 +137,23 @@ class RdmaDevice:
         # Observability (repro.obs): semantic verbs counters, None when
         # the simulator carries no metrics registry.
         self.metrics = getattr(self.sim, "metrics", None)
-        # Ingress dispatch tables, built once per device: the profile's
-        # per-kind service times and the bound handler methods.  The
-        # ingress path runs once per wire packet and used to rebuild
-        # both dicts per call.
+        # Cached once: observability attaches before any device exists.
+        self.tracer = getattr(self.sim, "tracer", None)
+        # Ingress dispatch table, built once per device and indexed by
+        # PacketKind.index: the profile's per-kind service time and the
+        # bound handler method.
         p = self.profile
-        self._ingress_service = {
-            PacketKind.WRITE: p.nic_ingress_write_ns,
-            PacketKind.SEND: p.nic_ingress_send_ns,
-            PacketKind.READ_REQ: p.nic_ingress_read_ns,
-            PacketKind.READ_RESP: p.nic_ingress_resp_ns,
-            PacketKind.ACK: p.nic_ingress_ack_ns,
-            PacketKind.ATOMIC_REQ: p.nic_ingress_atomic_ns,
-            PacketKind.ATOMIC_RESP: p.nic_ingress_resp_ns,
-        }
-        self._ingress_handler = {
-            PacketKind.WRITE: self._handle_write,
-            PacketKind.SEND: self._handle_send,
-            PacketKind.READ_REQ: self._handle_read_req,
-            PacketKind.READ_RESP: self._handle_read_resp,
-            PacketKind.ACK: self._handle_ack,
-            PacketKind.ATOMIC_REQ: self._handle_atomic_req,
-            PacketKind.ATOMIC_RESP: self._handle_atomic_resp,
-        }
+        self._ingress = [None] * len(PacketKind)
+        for kind, service, handler in (
+            (PacketKind.WRITE, p.nic_ingress_write_ns, self._handle_write),
+            (PacketKind.SEND, p.nic_ingress_send_ns, self._handle_send),
+            (PacketKind.READ_REQ, p.nic_ingress_read_ns, self._handle_read_req),
+            (PacketKind.READ_RESP, p.nic_ingress_resp_ns, self._handle_read_resp),
+            (PacketKind.ACK, p.nic_ingress_ack_ns, self._handle_ack),
+            (PacketKind.ATOMIC_REQ, p.nic_ingress_atomic_ns, self._handle_atomic_req),
+            (PacketKind.ATOMIC_RESP, p.nic_ingress_resp_ns, self._handle_atomic_resp),
+        ):
+            self._ingress[kind.index] = (service, handler)
 
     # ------------------------------------------------------------------
     # Setup
@@ -226,7 +215,7 @@ class RdmaDevice:
                     Cqe(wr.wr_id, wr.opcode, status=CqeStatus.FLUSH_ERROR),
                 )
             return self.sim.timeout(0.0)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             tracer.mark(
                 "%s.cpu" % self.machine.name,
@@ -239,7 +228,7 @@ class RdmaDevice:
                     "signaled" if wr.signaled else "unsignaled",
                 ),
             )
-        if wr.opcode in _FETCHLESS and not qp.take_read_credit():
+        if wr.opcode.fetchless and not qp.take_read_credit():
             # ConnectX-3 services at most 16 outstanding READs per QP
             # (atomics share the same non-posted slots); excess
             # requests wait in the driver.
@@ -251,7 +240,7 @@ class RdmaDevice:
             self.metrics.counter(
                 prefix + "wqe.%s.%s" % (wr.opcode.value, qp.transport.value)
             ).inc()
-            if wr.opcode not in _FETCHLESS:
+            if not wr.opcode.fetchless:
                 self.metrics.counter(
                     prefix + ("payload.inline" if wr.inline else "payload.dma")
                 ).inc()
@@ -309,7 +298,7 @@ class RdmaDevice:
             raise VerbError("UD messages are limited to one MTU")
         if wr.opcode is Opcode.READ and wr.local is None:
             raise VerbError("READ requires a local sink buffer")
-        if wr.opcode in _ATOMIC_OPS:
+        if wr.opcode.atomic:
             if wr.inline:
                 raise VerbError("atomics cannot be inlined")
             # re-check here so hand-built WorkRequests are caught too
@@ -325,7 +314,7 @@ class RdmaDevice:
         size = p.wqe_ctrl_bytes
         if wr.opcode.memory_semantics:
             size += p.wqe_raddr_bytes
-        if wr.opcode in _ATOMIC_OPS:
+        if wr.opcode.atomic:
             size += p.wqe_atomic_bytes
         if qp.transport is Transport.UD:
             size += p.wqe_av_bytes
@@ -338,51 +327,100 @@ class RdmaDevice:
     def _egress(self, qp: QueuePair, wr: WorkRequest) -> None:
         p = self.profile
         hit = self.machine.qp_cache.access(("s", qp.qpn), requester=True)
-        service = p.nic_egress_read_ns if wr.opcode in _FETCHLESS else p.nic_egress_ns
+        fetchless = wr.opcode.fetchless
+        service = p.nic_egress_read_ns if fetchless else p.nic_egress_ns
         service += self.machine.qp_cache.miss_penalty_ns(hit, requester=True)
-        done = self.machine.nic_egress.serve(service)
-        if wr.opcode not in _FETCHLESS and not wr.inline:
-            # Fetch the payload from host memory with non-posted DMA.
-            ready = self.sim.event()
-            done.add_callback(lambda _e: self._fetch(qp, wr, ready))
-        else:
-            ready = done
         # A QP's WQEs reach the wire in post order: even though a DMA
         # fetch delays this WQE, later (e.g. inlined) WQEs must not
-        # overtake it.  Chain each transmit behind its predecessor's.
-        predecessor = qp.send_gate
-        gate = self.sim.event()
-        qp.send_gate = gate
-
-        def fire(_e: Event) -> None:
-            self._transmit_wr(qp, wr)
-            gate.succeed()
-
-        if predecessor is None:
-            ready.add_callback(fire)
+        # overtake it, so they wait behind it in the transmit queue.
+        first = qp.tx_queue is None
+        if first:
+            qp.tx_queue = deque()
+        outbound = _Outbound(qp, wr, first)
+        qp.tx_queue.append(outbound)
+        done = self.machine.nic_egress.serve(service, outbound)
+        if fetchless or wr.inline:
+            done.callbacks.append(self._ready)
         else:
-            all_of(self.sim, [ready, predecessor]).add_callback(fire)
+            done.callbacks.append(self._fetch)
 
-    def _fetch(self, qp: QueuePair, wr: WorkRequest, ready: Event) -> None:
+    def _fetch(self, processed: Event) -> None:
+        """Fetch a processed WQE's payload from host memory (non-posted DMA)."""
+        outbound = processed._value
         transactions = self.profile.non_inline_fetch_transactions
-        if qp.transport is Transport.RC:
+        if outbound.qp.transport is Transport.RC:
             # Reliable transport retains WQE state for retransmission:
             # one extra non-posted round trip per send (Section 3.2.2's
             # "writes require less state maintenance ... at the PCIe
             # level" argument, applied to RC vs UC).
             transactions += 1
-        fetched = self.machine.pcie.dma_read(wr.length, transactions=transactions)
-        fetched.add_callback(lambda _e: ready.succeed())
+        fetched = self.machine.pcie.dma_read(outbound.wr.length, transactions=transactions)
+        # The WQE is ready one zero-delay step after its payload lands.
+        fetched.callbacks.append(lambda _e: self._relay(self._ready, processed))
+
+    def _relay(self, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` one zero-delay calendar step from now.
+
+        Callers are sole callbacks of the event being dispatched and
+        call this last, so when nothing else is due at this instant the
+        step would be dispatched next: run it in place instead of
+        spending a calendar entry (docs/ENGINE.md, "Relay fusion").
+        """
+        if self.sim.quiet():
+            fn(*args)
+        else:
+            self._step_later(fn, *args)
+
+    def _step_later(self, fn: Callable, *args) -> None:
+        self.sim.timeout(0.0).callbacks.append(lambda _e: fn(*args))
+
+    def _ready(self, processed: Event) -> None:
+        """A processed WQE (the event's value) is ready to transmit."""
+        outbound = processed._value
+        outbound.ready = True
+        qp = outbound.qp
+        if qp.tx_queue[0] is not outbound:
+            return  # an earlier WQE of this QP has not gone yet
+        if outbound.first:
+            self._send_steps(qp, _SEND)
+        elif qp.tx_gate_open:
+            self._relay(self._send_steps, qp, _SEND)
+
+    def _send_steps(self, qp: QueuePair, step: int) -> None:
+        """Send the QP's ready WQEs in post order.
+
+        The chain alternates two zero-delay steps: ``_SEND`` puts the
+        head WQE on the wire; one step later ``_OPEN`` opens the gate
+        behind it, and the next WQE, if ready, goes one step after
+        that.  Each step runs in place when the calendar is quiet and
+        becomes a zero-delay entry when not, so the sends keep the
+        exact calendar positions of the event-per-step chain.
+        """
+        queue = qp.tx_queue
+        while True:
+            if step == _SEND:
+                self._transmit_wr(qp, queue.popleft().wr)
+                qp.tx_gate_open = False
+                step = _OPEN
+            else:
+                qp.tx_gate_open = True
+                if not queue or not queue[0].ready:
+                    return
+                step = _SEND
+            if not self.sim.quiet():
+                self._step_later(self._send_steps, qp, step)
+                return
 
     def _transmit_wr(self, qp: QueuePair, wr: WorkRequest) -> None:
         dst_machine, dst_qpn = qp.destination_for(wr)
         psn = 0
-        if wr.inline or wr.opcode is Opcode.READ:
+        opcode = wr.opcode
+        if wr.inline or opcode is Opcode.READ:
             payload = wr.payload
-        elif wr.opcode in _ATOMIC_OPS:
+        elif opcode.atomic:
             # The request packet carries the operands (the AtomicETH);
             # the PSN identifies it in the responder's replay cache.
-            tag = _ATOMIC_CS_TAG if wr.opcode is Opcode.ATOMIC_CS else _ATOMIC_FA_TAG
+            tag = _ATOMIC_CS_TAG if opcode is Opcode.ATOMIC_CS else _ATOMIC_FA_TAG
             payload = _ATOMIC_WIRE.pack(
                 tag, wr.compare_add & _U64_MASK, wr.swap & _U64_MASK
             )
@@ -394,7 +432,14 @@ class RdmaDevice:
             payload = mr.read(offset, length)
             if wr.on_fetched is not None:
                 wr.on_fetched()
-        kind = _EGRESS_KIND[wr.opcode]
+        if opcode is Opcode.WRITE:
+            kind = PacketKind.WRITE
+        elif opcode is Opcode.SEND:
+            kind = PacketKind.SEND
+        elif opcode is Opcode.READ:
+            kind = PacketKind.READ_REQ
+        else:
+            kind = PacketKind.ATOMIC_REQ
         if (
             self.enforce_rc_ordering
             and qp.transport.reliable
@@ -505,14 +550,12 @@ class RdmaDevice:
             return
         cache = self.machine.qp_cache
         kind = packet.kind
-        requester = kind in _REQUESTER_KINDS
+        requester = kind.requester
         role_key = ("s", packet.dst_qpn) if requester else ("r", packet.dst_qpn)
         hit = cache.access(role_key, requester=requester)
-        service = self._ingress_service[kind] + cache.miss_penalty_ns(
-            hit, requester=requester
-        )
+        service, handler = self._ingress[kind.index]
+        service += cache.miss_penalty_ns(hit, requester=requester)
         done = self.machine.nic_ingress.serve(service)
-        handler = self._ingress_handler[kind]
         done.add_callback(lambda _e: handler(packet))
 
     # -- RC ordering enforcement (enforce_rc_ordering only) ------------
@@ -842,7 +885,7 @@ class RdmaDevice:
             # selective signaling avoids; count them so that shows up.
             self.metrics.counter("verbs.%s.cqe_dma" % self.machine.name).inc()
         landed = self.machine.pcie.dma_write(32)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             landed.add_callback(
                 lambda _e: tracer.mark(

@@ -23,6 +23,19 @@ class PacketKind(enum.Enum):
     ATOMIC_REQ = "ATOMIC_REQ"    # CmpSwap / FetchAdd request (operands)
     ATOMIC_RESP = "ATOMIC_RESP"  # atomic response (original value)
 
+    def __init__(self, value: str) -> None:
+        #: processed with the *requester* QP-context role at ingress
+        #: (responses and ACKs come back to the original requester)
+        self.requester = value in ("READ_RESP", "ACK", "ATOMIC_RESP")
+        #: dense position, for per-kind tables kept as lists: a dict
+        #: keyed by the member would call the Python-level Enum.__hash__
+        #: once per packet (set below)
+        self.index = -1
+
+
+for _index, _kind in enumerate(PacketKind):
+    _kind.index = _index
+
 
 class Packet:
     """One message on the fabric (segmentation is priced, not split)."""

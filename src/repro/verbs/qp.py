@@ -55,10 +55,14 @@ class QueuePair:
         #: expected-PSN check and the requester's cumulative ACKs key
         #: off it
         self.send_psn = 0
-        #: transmit-ordering gate: RDMA executes a QP's WQEs in post
-        #: order, so a payload DMA fetch must not let later (e.g.
-        #: inlined) WQEs overtake this one onto the wire
-        self.send_gate = None
+        #: WQEs past the egress engine and not yet on the wire, in post
+        #: order: RDMA executes a QP's WQEs in post order, so one still
+        #: fetching its payload holds back every later (e.g. inlined)
+        #: WQE (the device sends each ready WQE at the head).  Created
+        #: at the QP's first egress: many QPs only ever receive.
+        self.tx_queue: Optional[Deque] = None
+        #: whether the last WQE sent no longer holds back the next one
+        self.tx_gate_open = True
         #: RTS normally; ERROR after a fault until :meth:`recover`
         self.state = QpState.RTS
         # statistics

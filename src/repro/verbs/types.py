@@ -21,13 +21,15 @@ class Transport(enum.Enum):
     UD = "UD"  # Unreliable Datagram: unconnected, one-to-many
     DC = "DC"  # Dynamically Connected: reliable, unconnected (Connect-IB)
 
-    @property
-    def connected(self) -> bool:
-        return self in (Transport.RC, Transport.UC)
-
-    @property
-    def reliable(self) -> bool:
-        return self in (Transport.RC, Transport.DC)
+    def __init__(self, value: str) -> None:
+        # Plain per-member attributes, read once or more per WQE and
+        # packet: cheaper than properties, and unlike frozenset or dict
+        # lookups keyed by a member they never call the Python-level
+        # Enum.__hash__.
+        self.connected = value in ("RC", "UC")
+        self.reliable = value in ("RC", "DC")
+        #: Table 1's row for this transport (set below, in Opcode order)
+        self.verbs: Tuple["Opcode", ...] = ()
 
 
 class Opcode(enum.Enum):
@@ -47,20 +49,18 @@ class Opcode(enum.Enum):
     ATOMIC_CS = "ATOMIC_CMP_AND_SWP"
     ATOMIC_FA = "ATOMIC_FETCH_ADD"
 
-    @property
-    def memory_semantics(self) -> bool:
-        """True for the one-sided RDMA verbs (READ, WRITE, atomics)."""
-        return self not in (Opcode.SEND, Opcode.RECV)
-
-    @property
-    def channel_semantics(self) -> bool:
-        """True for the two-sided messaging verbs (SEND and RECV)."""
-        return self in (Opcode.SEND, Opcode.RECV)
-
-    @property
-    def atomic(self) -> bool:
-        """True for the remote read-modify-write verbs."""
-        return self in (Opcode.ATOMIC_CS, Opcode.ATOMIC_FA)
+    def __init__(self, value: str) -> None:
+        # Plain per-member attributes, for the same reason as Transport's.
+        #: the two-sided messaging verbs (SEND and RECV)
+        self.channel_semantics = value in ("SEND", "RECV")
+        #: the one-sided RDMA verbs (READ, WRITE, atomics)
+        self.memory_semantics = not self.channel_semantics
+        #: the remote read-modify-write verbs
+        self.atomic = value in ("ATOMIC_CMP_AND_SWP", "ATOMIC_FETCH_ADD")
+        #: requests without a payload DMA fetch (the request packet
+        #: carries only addressing/operands) that consume an
+        #: outstanding-read credit: the NIC holds non-posted state
+        self.fetchless = value == "READ" or self.atomic
 
 
 #: atomics always operate on one quadword
@@ -96,9 +96,14 @@ TRANSPORT_CAPABILITIES = {
 }
 
 
+for _transport, _verbs in TRANSPORT_CAPABILITIES.items():
+    _transport.verbs = tuple(op for op in Opcode if op in _verbs)
+
+
 def transport_supports(transport: Transport, opcode: Opcode) -> bool:
     """Whether ``transport`` can carry ``opcode`` (Table 1)."""
-    return opcode in TRANSPORT_CAPABILITIES[transport]
+    # a tuple membership test compares by identity, without hashing
+    return opcode in transport.verbs
 
 
 class VerbError(Exception):

@@ -87,6 +87,103 @@ def test_dispatch_order_matches_across_stepped_runs():
         )
 
 
+def _drive_fused(sim, seed, max_spawn=300):
+    """Like :func:`_drive`, with station admissions that carry a fixed
+    latency: those land through the absolute-time entry point
+    (``Simulator._schedule_at``) rather than a relative delay."""
+    rng = random.Random(seed)
+    server = FifoServer(sim, "station")
+    log = []
+    budget = [max_spawn]
+
+    def cb(event):
+        log.append((sim.now, event.value))
+        if budget[0] > 0:
+            budget[0] -= 1
+            for _ in range(rng.randrange(3)):
+                tag = budget[0] * 1000 + rng.randrange(100)
+                if rng.random() < 0.5:
+                    sim.timeout(rng.choice(DELAYS), tag).add_callback(cb)
+                else:
+                    server.serve(
+                        rng.choice(DELAYS), tag, latency=rng.choice(DELAYS)
+                    ).add_callback(cb)
+
+    for i in range(40):
+        sim.timeout(rng.choice(DELAYS), i).add_callback(cb)
+    return log
+
+
+def test_absolute_time_schedules_match_heap_reference():
+    for chunk in (None, 1, 3):
+        for seed in range(6):
+            runs = []
+            for sim_cls in (Simulator, HeapSimulator):
+                sim = sim_cls()
+                if chunk is not None and sim_cls is Simulator:
+                    sim.RUN_CHUNK = chunk
+                log = _drive_fused(sim, seed)
+                sim.run_until_idle()
+                runs.append(log)
+            assert runs[0] == runs[1]
+
+
+def _drive_quiet(sim, seed, max_spawn=300):
+    """A cascade whose callbacks also log what ``quiet()`` answers."""
+    rng = random.Random(seed)
+    log = []
+    budget = [max_spawn]
+
+    def cb(event):
+        log.append((sim.now, event.value, sim.quiet()))
+        if budget[0] > 0:
+            budget[0] -= 1
+            for _ in range(rng.randrange(3)):
+                tag = budget[0] * 1000 + rng.randrange(100)
+                sim.timeout(rng.choice(DELAYS), tag).add_callback(cb)
+
+    for i in range(40):
+        sim.timeout(rng.choice(DELAYS), i).add_callback(cb)
+    return log
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_quiet_matches_heap_reference(chunk):
+    for seed in range(6):
+        runs = []
+        for sim_cls in (Simulator, HeapSimulator):
+            sim = sim_cls()
+            if chunk is not None and sim_cls is Simulator:
+                sim.RUN_CHUNK = chunk
+            log = _drive_quiet(sim, seed)
+            sim.run_until_idle()
+            runs.append(log)
+        assert runs[0] == runs[1]
+        assert {q for _t, _v, q in runs[0]} == {True, False}
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, HeapSimulator])
+def test_quiet_sees_other_work_due_now(sim_cls):
+    sim = sim_cls()
+    seen = []
+    sim.timeout(1.0).add_callback(lambda e: seen.append(("tie", sim.quiet())))
+    sim.timeout(1.0)  # a second entry at the same instant
+    sim.timeout(2.0).add_callback(lambda e: seen.append(("alone", sim.quiet())))
+
+    def schedules_zero_delay(_e):
+        sim.timeout(0.0)
+        seen.append(("after zero-delay", sim.quiet()))
+
+    sim.timeout(3.0).add_callback(schedules_zero_delay)
+    sim.timeout(4.0).add_callback(lambda e: sim.timeout(1.0))
+    sim.timeout(4.0).add_callback(lambda e: seen.append(("later only", sim.quiet())))
+    sim.run_until_idle()
+    assert seen == [
+        ("tie", False), ("alone", True), ("after zero-delay", False),
+        ("later only", True),
+    ]
+
+
 def _producer_consumer(sim_cls):
     sim = sim_cls()
     store = Store(sim)

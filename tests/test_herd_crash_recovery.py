@@ -155,6 +155,8 @@ def test_client_parking_keeps_healthy_partitions_busy():
     limit = 2 * cluster.config.window
     for client in cluster.clients:
         assert sum(len(q) for q in client._parked) <= limit
+        # the running count of parked ops matches the queues
+        assert client._n_parked == sum(len(q) for q in client._parked)
     # The global closed loop never exceeds W outstanding.
     for client in cluster.clients:
         assert client.outstanding <= cluster.config.window

@@ -225,3 +225,70 @@ def test_resource_counted_capacity():
         sim.process(holder(name))
     sim.run_until_idle()
     assert entered == [("a", 0.0), ("b", 0.0), ("c", 10.0)]
+
+
+def test_server_latency_delays_completion_without_holding_the_station():
+    """A fixed pipeline latency after service is paid by the job, not
+    the station: the next job starts when the previous one's service
+    ends."""
+    sim = Simulator()
+    server = FifoServer(sim, "dma")
+    done = []
+    for _ in range(2):
+        server.serve(10.0, latency=5.0).add_callback(lambda e: done.append(sim.now))
+    sim.run_until_idle()
+    assert done == [15.0, 25.0]
+    assert server.busy_time == 20.0
+
+
+def test_server_rejects_negative_latency():
+    sim = Simulator()
+    server = FifoServer(sim, "nic")
+    with pytest.raises(ValueError):
+        server.serve(1.0, latency=-1.0)
+
+
+@pytest.mark.parametrize("sim_cls", ["Simulator", "HeapSimulator"])
+@pytest.mark.parametrize(
+    "backlog, arrival, service, latency",
+    [
+        # a backlog ending far past ``now``: here ``now + (done_at -
+        # now)`` is an ulp away from ``done_at`` itself
+        (503950.771, 125702.213617, 15.0, 250.0),
+        (251243.541, 32248.200952, 15.0, 50.0),
+        (723269.748, 191737.864505, 250.0, 600.0),
+        (0.0, 1.0 / 3.0, 0.1, 0.2),
+    ],
+)
+def test_fused_latency_fires_at_the_unfused_chains_instant(
+    sim_cls, backlog, arrival, service, latency
+):
+    """``serve(s, latency=L)`` is one calendar entry standing in for a
+    completion event plus an ``L`` timeout.  It must fire at the very
+    float those two relative schedules produce; an ulp apart could
+    reorder a tie."""
+    from repro.sim import engine
+
+    fired = []
+    for fused in (False, True):
+        sim = getattr(engine, sim_cls)()
+        server = FifoServer(sim, "s")
+        times = []
+        server.serve(backlog)
+
+        def admit(sim=sim, server=server, times=times, fused=fused):
+            if fused:
+                done = server.serve(service, latency=latency)
+                done.add_callback(lambda e: times.append(sim.now))
+            else:
+                # the chain spelled out: a completion ``done_at - now``
+                # from now, then a relative ``latency`` timeout
+                done_at = max(backlog, sim.now) + service
+                sim.timeout(done_at - sim.now).add_callback(
+                    lambda e: sim.call_in(latency, lambda: times.append(sim.now))
+                )
+
+        sim.call_in(arrival, admit)
+        sim.run_until_idle()
+        fired.append(times)
+    assert fired[0] == fired[1]

@@ -55,3 +55,25 @@ def test_fig1_covers_all_four_verbs():
     out = fig1()
     for verb in ("WRITE, inlined", "WRITE (signaled, RC)", "READ", "SEND/RECV (UD)"):
         assert verb in out
+
+
+def test_wire_spans_start_where_serialisation_starts():
+    """Two packets queued back to back on one port: the second is not
+    on the wire until the first has been serialised, so the spans'
+    serialisation parts do not overlap.  Each span ends on arrival."""
+    sim = Simulator()
+    sim.tracer = tracer = Tracer(sim)
+    fabric = Fabric(sim, APT)
+    arrivals = []
+    fabric.attach("a", lambda packet: None)
+    fabric.attach("b", lambda packet: arrivals.append(sim.now))
+    wire_bytes = 700
+    fabric.transmit("a", "b", "p1", wire_bytes)
+    fabric.transmit("a", "b", "p2", wire_bytes)
+    sim.run_until_idle()
+    tx_time = wire_bytes / APT.link_bw
+    wire = [e for e in tracer.events if e.station == "wire a->b"]
+    port = [e for e in tracer.events if e.station == "a.tx"]
+    assert [w.start_ns for w in wire] == [p.start_ns for p in port] == [0.0, tx_time]
+    assert wire[0].start_ns + tx_time <= wire[1].start_ns
+    assert [w.end_ns for w in wire] == arrivals

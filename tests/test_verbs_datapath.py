@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import APT, Fabric, Machine
-from repro.sim import Simulator
+from repro.sim import FifoServer, Simulator
 from repro.verbs import (
     Opcode,
     RdmaDevice,
@@ -497,3 +497,65 @@ def test_any_payload_roundtrips_by_write_then_read(payload):
     )
     sim.run_until_idle()
     assert sink.read(0, len(payload)) == payload
+
+
+def test_transmit_queue_drains_in_post_order_over_rc():
+    """Fetching and inlined WRITEs interleaved on one RC QP reach the
+    responder in post order, and the QP's transmit queue empties."""
+    sim, fabric, server, (client,) = make_world()
+    mr = server.register_memory(8192)
+    src = client.register_memory(4096)
+    src.write(0, b"A" * 600)
+    _sqp, cqp = connect_pair(server, client, Transport.RC)
+    arrival_order = []
+    mr.on_write = lambda offset, length: arrival_order.append(offset)
+    offsets = []
+    for i in range(3):
+        offsets += [1024 * i, 1024 * i + 512]
+        client.post_send(cqp, WorkRequest.write(
+            raddr=mr.addr + 1024 * i, rkey=mr.rkey, local=(src, 0, 200 * (3 - i)),
+            signaled=False))
+        client.post_send(cqp, WorkRequest.write(
+            raddr=mr.addr + 1024 * i + 512, rkey=mr.rkey, payload=b"b", inline=True,
+            signaled=False))
+    sim.run_until_idle()
+    assert arrival_order == offsets
+    assert not cqp.tx_queue
+
+
+def test_send_waits_one_step_behind_same_instant_work():
+    """The send-order chain keeps its zero-delay steps where they are
+    observable.  A QP's first WQE goes on the wire in the egress
+    engine's completion callback; a later one goes one zero-delay step
+    after it, so other work due at that same instant runs first.  (Fault
+    injectors draw per transmitted packet, so this order shows up in
+    every chaos fingerprint.)"""
+    sim, fabric, server, (client,) = make_world()
+    mr = server.register_memory(4096)
+    _sqp, cqp = connect_pair(server, client, Transport.UC)
+    order = []
+
+    class CollidingEngine(FifoServer):
+        __slots__ = ()
+
+        def serve(self, service, value=None, latency=0.0):
+            done = FifoServer.serve(self, service, value, latency)
+            # other work due at the very instant the WQE leaves the engine
+            sim.call_in(self.delay_until_free(), lambda: order.append("other"))
+            return done
+
+    client.machine.nic_egress = CollidingEngine(sim, "c0.nic.tx")
+    transmit = fabric.transmit
+
+    def logged(src, dst, packet, wire_bytes):
+        if src == client.machine.name:
+            order.append("send")
+        transmit(src, dst, packet, wire_bytes)
+
+    fabric.transmit = logged
+    for i in range(2):
+        client.post_send(cqp, WorkRequest.write(
+            raddr=mr.addr + 8 * i, rkey=mr.rkey, payload=b"x", inline=True,
+            signaled=False))
+        sim.run_until_idle()
+    assert order == ["send", "other", "other", "send"]
