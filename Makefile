@@ -1,6 +1,6 @@
 # Convenience targets for the HERD reproduction.
 
-.PHONY: install test bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke clean
+.PHONY: install test bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke perfbench-smoke qos-smoke txn-smoke nemesis-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -122,16 +122,12 @@ qos-smoke:
 	python -m repro.lab.cli gate overload \
 		--baseline benchmarks/baselines/overload.json
 
-# The event-kernel gate: the sorted-run calendar must stay faster than
-# the reference heap calendar (HeapSimulator, the pre-overhaul
-# algorithm) on identical schedules, and both must produce the
-# identical dispatch digest — a perf gate and a determinism gate in
-# one, folded into BENCH_lab.json.  Workers=1: parallel timing points
-# would contend with each other.
-engine-smoke:
-	python -m repro.lab.cli run engine --workers 1 --timeout 600
-	python -m repro.lab.cli gate engine \
-		--baseline benchmarks/baselines/engine.json
+# perfbench's own self-test: its harness reaches into event-kernel
+# names (Simulator._seq for the event count, Simulator.run and
+# run_until_idle for wall-share attribution, FifoServer.serve), so a
+# refactor that renames one must fail here rather than in the benchmark.
+perfbench-smoke:
+	python3 -m pytest -q perfbench
 
 # Multi-key transactions, both commit dataplanes (docs/TXN.md): every
 # run must pass the strict-serializability checker with zero torn

@@ -4,63 +4,22 @@ The simulator dispatches events in exact ``(time, sequence)`` order:
 two events scheduled for the same instant fire in the order they were
 scheduled.  Simulated time is a float number of nanoseconds.
 
-The calendar is a three-tier structure tuned on the meta-engine
-benchmarks (see docs/ENGINE.md for the profiles and the before/after
-table):
-
-* an **immediate deque** absorbs every zero-delay schedule — the
-  ``succeed()`` / mailbox-handoff flood that dominates real workloads.
-  Every immediate entry carries the *current* timestamp (``now`` cannot
-  advance while any are queued), so the deque holds bare events: FIFO
-  order is ``(time, seq)`` order and no timestamps are stored at all;
-* future events go to **parallel pending arrays** (one list of floats,
-  one list of events, appended in schedule order — scheduling is one
-  compare and two ``list.append``\\ s).  When the dispatcher needs them
-  it sorts the float array once with a *stable* C sort (numpy argsort)
-  into the **active run** and walks it with a cursor.  Because pending
-  entries are appended in increasing sequence order, a stable sort by
-  time alone *is* a sort by ``(time, seq)`` — the tie-break never has
-  to be materialised;
-* the run is opened at most :attr:`Simulator.RUN_CHUNK` events at a
-  time (extended over ties so equal timestamps never straddle the
-  boundary).  Events that land **inside the open run window** go to a
-  small overflow heap merged during dispatch; events beyond the window
-  append to pending.  Chunking keeps the window — and therefore the
-  overflow heap — small even when a far-future watchdog is pending.
-
-Ordering at merge points never needs stored sequence numbers:
-
-* overflow entries are always scheduled *after* every event in the
-  active run (the run is rebuilt only when the heap is empty), so on a
-  timestamp tie the run entry fires first — the merge compares times
-  strictly;
-* immediate entries are appended *after* any run/overflow entry that
-  shares their timestamp could have been scheduled, so on a tie the
-  calendar head fires first — again a strict comparison.
-
-:class:`HeapSimulator` keeps the original single-binary-heap calendar
-alive as a reference oracle: the property tests drive both engines over
-identical schedules and assert identical dispatch sequences, and the
-``engine`` lab sweep gates the sorted-run calendar's speedup against it.
+The calendar is one binary heap of ``(time, seq, event)`` entries.
+Every schedule bumps the simulator-wide ``seq`` counter, so no two
+entries ever compare equal and the heap pops them in exactly that
+order; a delay that collapses into the current instant in float
+arithmetic simply ties with ``now`` and fires after the entries
+already due then.  docs/ENGINE.md has the design notes and the
+measurements behind them.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right as _bisect_right
-from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
-
-import numpy as _np
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-_NEG_INF = float("-inf")
-
-#: below this many pending entries, a pure-Python index sort beats the
-#: numpy round trip (array creation dominates for tiny batches)
-_NUMPY_SORT_MIN = 64
 
 
 class Event:
@@ -71,14 +30,13 @@ class Event:
     the current simulation time.  Events may be triggered at most once.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "triggered", "_scheduled")
+    __slots__ = ("sim", "callbacks", "_value", "triggered")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self.triggered = False
-        self._scheduled = False
 
     @property
     def value(self) -> Any:
@@ -92,7 +50,6 @@ class Event:
         self.triggered = True
         self._value = value
         self.sim._schedule(0.0, self)
-        self._scheduled = True
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -126,18 +83,11 @@ class Event:
             flush.callbacks = [_run_late_pairs]
             flush._value = None
             flush.triggered = True
-            flush._scheduled = True
             sim._schedule(0.0, flush)
             sim._late_flush = flush
             sim._late_seq = sim._seq
         else:
             callbacks.append(fn)
-
-    def _dispatch(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for fn in callbacks:
-                fn(self)
 
 
 class _LateFlush(Event):
@@ -166,7 +116,6 @@ class Timeout(Event):
         self.callbacks = []
         self._value = value
         self.triggered = True
-        self._scheduled = True
         sim._schedule(delay, self)
 
 
@@ -225,31 +174,6 @@ class Process(Event):
             callbacks.append(self._on_fire)
 
 
-def _open_run(
-    times: List[float], events: List[Event]
-) -> Tuple[List[float], List[Event]]:
-    """Stably sorted copies of parallel (times, events) arrays.
-
-    ``times``/``events`` are parallel and appended in schedule order, so
-    a *stable* sort by time alone reproduces exact (time, seq) order.
-    Large batches go through numpy (C sort on a float64 array, plus an
-    O(n) already-sorted check that makes monotone schedules — a server
-    admitting back-to-back jobs — free); small batches use a plain index
-    sort, which beats the numpy round trip below ~64 entries.
-    """
-    n = len(times)
-    if n >= _NUMPY_SORT_MIN:
-        arr = _np.asarray(times)
-        if not (arr[1:] < arr[:-1]).any():
-            return list(times), list(events)
-        order = arr.argsort(kind="stable")
-        return arr[order].tolist(), [events[i] for i in order.tolist()]
-    if n > 1:
-        order = sorted(range(n), key=times.__getitem__)
-        return [times[i] for i in order], [events[i] for i in order]
-    return list(times), list(events)
-
-
 class Simulator:
     """The event calendar and simulated clock (nanoseconds)."""
 
@@ -258,37 +182,12 @@ class Simulator:
     #: attach ``sim.metrics`` / ``sim.tracer`` before any resources exist
     _obs_hook: Optional[Callable[["Simulator"], None]] = None
 
-    #: how many pending events are sorted into the active run at a time.
-    #: Small enough that one far-future watchdog does not stretch the
-    #: run window over the whole simulation (which would push every
-    #: subsequent schedule onto the overflow heap), large enough that
-    #: the per-chunk sort amortises to nothing.  The equivalence
-    #: property tests shrink it to stress the window-boundary logic.
-    RUN_CHUNK = 4096
-
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: schedules so far: the tie-break of every calendar entry
         self._seq = 0
-        #: zero-delay entries; all at the current instant, FIFO == (time,
-        #: seq) order by construction
-        self._imm: Deque[Event] = deque()
-        #: future events beyond the run window, unsorted, in seq order.
-        #: These two lists are never rebound (only cleared), so the
-        #: bound ``append``\\ s below stay valid for the simulator's life.
-        self._pending_t: List[float] = []
-        self._pending_e: List[Event] = []
-        self._imm_append = self._imm.append
-        self._pt_append = self._pending_t.append
-        self._pe_append = self._pending_e.append
-        #: the sorted run (parallel arrays) + read cursor + window end
-        self._active_t: List[float] = []
-        self._active_e: List[Event] = []
-        self._ai = 0
-        self._run_end = 0
-        #: largest timestamp inside the open run window (-inf: closed)
-        self._run_max = _NEG_INF
-        #: entries that landed inside the open window while draining it
-        self._cur_heap: List[Tuple[float, int, Event]] = []
+        #: the calendar: a binary heap of (time, seq, event) entries
+        self._heap: List[Tuple[float, int, Event]] = []
         #: late-callback batching state (see Event.add_callback)
         self._late_flush: Optional[_LateFlush] = None
         self._late_seq = -1
@@ -298,24 +197,8 @@ class Simulator:
     # -- scheduling -----------------------------------------------------
 
     def _schedule(self, delay: float, event: Event) -> None:
-        now = self.now
-        time = now + delay
-        self._seq += 1
-        if time > self._run_max:
-            # Beyond the open run window (or no window open): sorted
-            # in bulk when the dispatcher gets there.
-            self._pt_append(time)
-            self._pe_append(event)
-        elif time <= now:
-            # Zero delay (or a positive delay that collapses into the
-            # current instant in float arithmetic): all immediate
-            # entries share the current timestamp, so FIFO order is
-            # (time, seq) order.
-            self._imm_append(event)
-        else:
-            # Inside the open window: must interleave with the active
-            # run, so pay the heap push.
-            _heappush(self._cur_heap, (time, self._seq, event))
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (self.now + delay, seq, event))
 
     def _schedule_at(self, time: float, event: Event) -> None:
         """Schedule ``event`` at the absolute instant ``time``.
@@ -328,14 +211,8 @@ class Simulator:
         an ulp away and reorder a tie).  ``time`` must not precede
         ``now``.
         """
-        self._seq += 1
-        if time > self._run_max:
-            self._pt_append(time)
-            self._pe_append(event)
-        elif time <= self.now:
-            self._imm_append(event)
-        else:
-            _heappush(self._cur_heap, (time, self._seq, event))
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (time, seq, event))
 
     def quiet(self) -> bool:
         """Whether no other calendar entry is due at the current instant.
@@ -348,17 +225,8 @@ class Simulator:
         tell the difference (docs/ENGINE.md, "Relay fusion").  Only
         meaningful from inside a calendar callback.
         """
-        if self._imm or self._run_max == _NEG_INF:
-            return False
-        now = self.now
-        # The dispatcher keeps its run cursor in a local, so find the
-        # last run entry due by now instead: the run is dispatched in
-        # order, and a dispatched event's callbacks are None.
-        last = _bisect_right(self._active_t, now, 0, self._run_end) - 1
-        if last >= 0 and self._active_e[last].callbacks is not None:
-            return False
-        heap = self._cur_heap
-        return not (heap and heap[0][0] <= now)
+        heap = self._heap
+        return not heap or heap[0][0] > self.now
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -378,17 +246,8 @@ class Simulator:
         event.callbacks = []
         event._value = value
         event.triggered = True
-        event._scheduled = True
-        now = self.now
-        time = now + delay
-        self._seq += 1
-        if time > self._run_max:
-            self._pt_append(time)
-            self._pe_append(event)
-        elif time <= now:
-            self._imm_append(event)
-        else:
-            _heappush(self._cur_heap, (time, self._seq, event))
+        self._seq = seq = self._seq + 1
+        _heappush(self._heap, (self.now + delay, seq, event))
         return event
 
     def process(
@@ -405,163 +264,11 @@ class Simulator:
     # -- execution ------------------------------------------------------
 
     def _drain(self, until: float) -> None:
-        """Dispatch every event with ``time <= until`` in (time, seq) order.
-
-        Invariants maintained by :meth:`_schedule` and this loop:
-
-        * immediate entries all carry the *current* timestamp (appended
-          at ``time == now``, and ``now`` cannot advance while any are
-          queued) and were scheduled after any run/overflow entry that
-          shares it, so the deque drains whenever the calendar head is
-          strictly later than ``now`` — completely, since nothing a
-          dispatch appends can precede it;
-        * overflow-heap entries are ``<= run_max`` and pending entries
-          are ``> run_max``, so the run + overflow heap can be merged
-          and fully dispatched before pending is ever consulted, and the
-          run is rebuilt only when the overflow heap is empty — which
-          makes every overflow entry younger than every run entry, so
-          the merge breaks timestamp ties toward the run with a strict
-          comparison;
-        * entries with equal timestamps never straddle the run-window
-          boundary (the chunk cut is extended over ties), so seq order
-          within an instant is preserved across window advances.
-        """
-        imm = self._imm
-        cur_heap = self._cur_heap
-        active_t = self._active_t
-        active_e = self._active_e
-        ai = self._ai
-        run_end = self._run_end
-        while True:
-            if not imm and not cur_heap:
-                # Fast path: nothing can preempt the sorted run — walk
-                # it with an index until a dispatch schedules an
-                # immediate or in-window event.
-                while ai < run_end:
-                    time = active_t[ai]
-                    if time > until:
-                        self._ai = ai
-                        self._run_end = run_end
-                        return
-                    event = active_e[ai]
-                    ai += 1
-                    self.now = time
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-                        if imm or cur_heap:
-                            break
-
-            # -- next calendar entry (active run merged with overflow;
-            # strict < breaks timestamp ties toward the older run entry)
-            if ai < run_end:
-                head_t = active_t[ai]
-                if cur_heap and cur_heap[0][0] < head_t:
-                    head_t = cur_heap[0][0]
-                    from_heap = True
-                else:
-                    from_heap = False
-            elif cur_heap:
-                head_t = cur_heap[0][0]
-                from_heap = True
-            else:
-                head_t = None
-                from_heap = False
-
-            # -- the immediate queue drains whenever the head is
-            # strictly after the current instant.  `now` cannot advance
-            # while it runs, and anything a dispatch schedules lands
-            # behind it in the deque or strictly after `now` — so no
-            # per-entry re-check is needed.
-            if imm:
-                if head_t is None or head_t > self.now:
-                    while imm:
-                        event = imm.popleft()
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    continue
-
-            if head_t is None:
-                # Run window exhausted: advance it.  The overflow heap
-                # is empty here, so merging the undrained tail with
-                # pending keeps global seq order: every tail entry is
-                # older than every pending entry, and both runs are
-                # individually in seq order.
-                pending_t = self._pending_t
-                n = len(active_t)
-                if pending_t:
-                    pending_e = self._pending_e
-                    if ai == 1 == n and len(pending_t) == 1:
-                        # Ping-pong steady state: one event in flight
-                        # (a process re-arming its own timer).  Reuse
-                        # the one-slot run in place — no sort, no
-                        # allocation, no rebind.
-                        time = active_t[0] = pending_t[0]
-                        active_e[0] = pending_e[0]
-                        del pending_t[:]
-                        del pending_e[:]
-                        ai = 0
-                        run_end = 1
-                        self._run_max = time
-                        self._run_end = 1
-                        continue
-                    if ai < n:
-                        rest_t = active_t[ai:]
-                        rest_e = active_e[ai:]
-                        rest_t.extend(pending_t)
-                        rest_e.extend(pending_e)
-                        active_t, active_e = _open_run(rest_t, rest_e)
-                    else:
-                        active_t, active_e = _open_run(pending_t, pending_e)
-                    # The pending lists are cleared, never replaced —
-                    # the bound appends in _schedule must stay live.
-                    del pending_t[:]
-                    del pending_e[:]
-                    self._active_t = active_t
-                    self._active_e = active_e
-                    ai = 0
-                    n = len(active_t)
-                elif ai >= n:
-                    # Calendar fully drained: close the window so
-                    # schedules made between runs append to pending.
-                    if n:
-                        self._active_t = active_t = []
-                        self._active_e = active_e = []
-                    self._ai = ai = 0
-                    self._run_end = run_end = 0
-                    self._run_max = _NEG_INF
-                    return
-                run_end = ai + self.RUN_CHUNK
-                if run_end >= n:
-                    run_end = n
-                else:
-                    # Never split equal timestamps across the window
-                    # boundary: a tie left outside would dispatch after
-                    # in-window entries scheduled later.
-                    cut = active_t[run_end - 1]
-                    while run_end < n and active_t[run_end] == cut:
-                        run_end += 1
-                self._run_max = active_t[run_end - 1]
-                self._run_end = run_end
-                continue
-
-            if head_t > until:
-                self._ai = ai
-                self._run_end = run_end
-                return
-            if from_heap:
-                event = _heappop(cur_heap)[2]
-            else:
-                event = active_e[ai]
-                ai += 1
-            self.now = head_t
-            callbacks = event.callbacks
-            event.callbacks = None
+        """Dispatch every event with ``time <= until`` in (time, seq) order."""
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            self.now, _seq, event = _heappop(heap)
+            callbacks, event.callbacks = event.callbacks, None
             if callbacks:
                 for fn in callbacks:
                     fn(event)
@@ -595,103 +302,5 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when idle)."""
-        if self._imm:
-            return self.now
-        best: Optional[float] = None
-        if self._ai < len(self._active_t):
-            best = self._active_t[self._ai]
-        if self._cur_heap:
-            t = self._cur_heap[0][0]
-            if best is None or t < best:
-                best = t
-        if self._pending_t:
-            t = min(self._pending_t)
-            if best is None or t < best:
-                best = t
-        return best if best is not None else float("inf")
-
-
-class HeapSimulator(Simulator):
-    """The original single-binary-heap calendar, kept as an oracle.
-
-    Scheduling pushes ``(time, seq, event)`` onto one heap; dispatch
-    pops it.  Slower than the sorted-run calendar (every event pays
-    ``log n`` interpreted tuple comparisons against the whole future),
-    but trivially correct — the equivalence property tests and the
-    ``engine`` lab sweep run it side by side with :class:`Simulator`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Tuple[float, int, Event]] = []
-
-    def _schedule(self, delay: float, event: Event) -> None:
-        self._seq += 1
-        _heappush(self._heap, (self.now + delay, self._seq, event))
-
-    def _schedule_at(self, time: float, event: Event) -> None:
-        self._seq += 1
-        _heappush(self._heap, (time, self._seq, event))
-
-    def quiet(self) -> bool:
         heap = self._heap
-        return not heap or heap[0][0] > self.now
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Simulator.timeout inlines the sorted-run _schedule; the oracle
-        # must route through its own.
-        return Timeout(self, delay, value)
-
-    def run(self, until: float) -> None:
-        if until < self.now:
-            raise ValueError("cannot run backwards: until=%r < now=%r" % (until, self.now))
-        heap = self._heap
-        while heap and heap[0][0] <= until:
-            time, _seq, event = _heappop(heap)
-            self.now = time
-            event._dispatch()
-        self.now = until
-
-    def run_until_idle(self, limit: float = float("inf")) -> None:
-        if limit < self.now:
-            raise ValueError(
-                "cannot run backwards: limit=%r < now=%r" % (limit, self.now)
-            )
-        heap = self._heap
-        while heap and heap[0][0] <= limit:
-            time, _seq, event = _heappop(heap)
-            self.now = time
-            event._dispatch()
-        if limit != float("inf"):
-            self.now = limit
-
-    def peek(self) -> float:
-        return self._heap[0][0] if self._heap else float("inf")
-
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires once every event in ``events`` has fired.
-
-    The combined event's value is the list of the individual values in
-    the order the events were given.
-    """
-    events = list(events)
-    combined = Event(sim)
-    remaining = [len(events)]
-    values: List[Any] = [None] * len(events)
-    if not events:
-        combined.succeed([])
-        return combined
-
-    def make_callback(index: int) -> Callable[[Event], None]:
-        def on_fire(event: Event) -> None:
-            values[index] = event.value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                combined.succeed(values)
-
-        return on_fire
-
-    for index, event in enumerate(events):
-        event.add_callback(make_callback(index))
-    return combined
+        return heap[0][0] if heap else float("inf")

@@ -101,7 +101,6 @@ class FifoServer:
         event.callbacks = []
         event._value = value
         event.triggered = True
-        event._scheduled = True
         # The same float operations as a relative schedule of the
         # completion followed by a relative ``latency`` timeout.
         sim._schedule_at((now + (done_at - now)) + latency, event)
@@ -170,7 +169,6 @@ class Store:
             event = getters.popleft()
             event.triggered = True
             event._value = item
-            event._scheduled = True
             self.sim._schedule(0.0, event)
         else:
             self._items.append(item)
@@ -189,7 +187,6 @@ class Store:
             event.callbacks = []
             event._value = items.popleft()
             event.triggered = True
-            event._scheduled = True
             sim._schedule(0.0, event)
             return event
         event = _new_event(Event)
@@ -197,7 +194,6 @@ class Store:
         event.callbacks = []
         event._value = None
         event.triggered = False
-        event._scheduled = False
         self._getters.append(event)
         return event
 

@@ -1,28 +1,33 @@
-"""The sorted-run calendar against the reference heap calendar.
+"""Dispatch order of the event calendar, pinned by digest.
 
-The event-engine overhaul replaced the single-heap calendar inside
-:class:`~repro.sim.engine.Simulator` with a sorted-run design.  The
-dispatch contract — strict (time, seq) order — is what every
-deterministic fingerprint in this repo rests on, so these tests drive
-the new calendar and :class:`~repro.sim.engine.HeapSimulator` (the old
-algorithm, kept as a reference oracle) side by side through adversarial
-schedules and demand *identical* dispatch sequences.
+The dispatch contract — strict (time, seq) order — is what every
+deterministic fingerprint in this repo rests on.  These tests drive
+:class:`~repro.sim.engine.Simulator` through adversarial cascading
+schedules and compare the sha256 of ``repr(log)`` against digests
+recorded on the reference heap calendar before it became the only
+kernel.  A kernel change that moves one dispatch by one slot snowballs
+through the RNG-driven cascade and fails here.
 
-They also pin the regressions fixed alongside the overhaul: late
+They also pin the regressions fixed alongside earlier kernel work: late
 ``add_callback`` ordering, per-simulator anonymous store names, and the
 ``FifoServer.utilization`` overhang clamp.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.sim import FifoServer, HeapSimulator, Simulator, Store
+from repro.sim import FifoServer, Simulator, Store
 
 #: delays with deliberate repeats: same-instant ties and zero-delay
 #: (immediate) events are where calendar designs usually break
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.25, 3.0, 7.5)
+
+
+def _digest(log):
+    return hashlib.sha256(repr(log).encode()).hexdigest()
 
 
 def _drive(sim, seed, n_seed_events=40, max_spawn=300):
@@ -30,8 +35,8 @@ def _drive(sim, seed, n_seed_events=40, max_spawn=300):
 
     Returns the dispatch log.  The RNG draws happen inside callbacks,
     so the log (and the schedule itself) is a faithful trace of the
-    calendar's dispatch order — any ordering divergence between two
-    engines snowballs and is caught by a plain list comparison.
+    calendar's dispatch order — any ordering divergence snowballs and
+    changes the digest.
     """
     rng = random.Random(seed)
     log = []
@@ -50,10 +55,8 @@ def _drive(sim, seed, n_seed_events=40, max_spawn=300):
     return log
 
 
-def _run_scenario(sim_cls, seed, chunk=None, steps=()):
-    sim = sim_cls()
-    if chunk is not None:
-        sim.RUN_CHUNK = chunk
+def _run_scenario(seed, steps=()):
+    sim = Simulator()
     log = _drive(sim, seed)
     for until in steps:
         sim.run(until=until)
@@ -63,28 +66,37 @@ def _run_scenario(sim_cls, seed, chunk=None, steps=()):
     return log
 
 
+#: ``_run_scenario(seed)`` digests, seeds 0-9
+DRIVE_DIGESTS = (
+    "6bda4f7b87b50218d1c80cb4ec1acd694a4a258b4e1426a923de51670ba5936a",
+    "2f1883659d488dff21e971f043db99db6b365276b7a9ad9ff6dc9eb2964b3fa3",
+    "a4e79312af2edfbcca222a2a0174e4944eeda9a23425d05790fe2315348c7c71",
+    "aa9f98ec7f4f95ec01317eccbf9bffa8d80b1a9566f3a768b3cd37bdec8b14f5",
+    "984ad2c1c96248cdc296979ca8c7b274916c20ff8c569391c38ba58e77ccc5cb",
+    "fda03baa6c0eb2549270f12b97d6eece970c32f74d23f247505b66cf066724b7",
+    "10ddb1e0db5fa125264c0d77f49b6952edfb0aa6a5bbc926380c448077436635",
+    "6faf7e8536df38a790130f50e47a3939f4ac4029246f0256cf6575588255bab0",
+    "0ccd77189ed88d8e01db04674b060fa6ce1f990712960a3f4d10425d74c46a3f",
+    "b5ee9f67e3ab2a8d4b387efd30f7879526d42c7be2bc1a903b352fbf79b55b59",
+)
+
+#: ``_run_scenario(seed, STEPS)`` digests, seeds 3-5
+STEPS = (0.0, 1.0, 1.0, 2.5, 9.0)
+STEPPED_DIGESTS = {
+    3: "daedef472162798ca03542522067921ea75579a5ad190242533c6951c2aac20b",
+    4: "ef9ebdff8fc3151be71356afc4a0b830d7ef353c000f93fa86ad808e596ad4b0",
+    5: "a2c53148052fbb2866355a6bde72e069293b6cdc4e84fb1c23c3d47aa4946a43",
+}
+
+
 def test_dispatch_order_matches_heap_reference():
-    for seed in range(10):
-        assert _run_scenario(Simulator, seed) == _run_scenario(HeapSimulator, seed)
-
-
-def test_dispatch_order_matches_with_tiny_run_chunks():
-    # Shrinking RUN_CHUNK forces many window boundaries (including
-    # boundaries that would split a timestamp tie without the tie
-    # extension) through the same schedule.
-    for chunk in (1, 2, 3, 5):
-        for seed in (0, 1, 2):
-            assert _run_scenario(Simulator, seed, chunk=chunk) == _run_scenario(
-                HeapSimulator, seed
-            )
+    for seed, digest in enumerate(DRIVE_DIGESTS):
+        assert _digest(_run_scenario(seed)) == digest, seed
 
 
 def test_dispatch_order_matches_across_stepped_runs():
-    steps = (0.0, 1.0, 1.0, 2.5, 9.0)
-    for seed in (3, 4, 5):
-        assert _run_scenario(Simulator, seed, steps=steps) == _run_scenario(
-            HeapSimulator, seed, steps=steps
-        )
+    for seed, digest in STEPPED_DIGESTS.items():
+        assert _digest(_run_scenario(seed, steps=STEPS)) == digest, seed
 
 
 def _drive_fused(sim, seed, max_spawn=300):
@@ -114,18 +126,23 @@ def _drive_fused(sim, seed, max_spawn=300):
     return log
 
 
+#: ``_drive_fused`` digests, seeds 0-5
+FUSED_DIGESTS = (
+    "318ffe4f1936375bac11002fd43b9cdbc29e0d673de300ca1aa9016ba2136440",
+    "24f28d16f78826dad2509efb61241feac7ca719abec5f28b4de490245333c69f",
+    "889b825a560fc27f94032846abeb6c0ed3984f6a1d01c075b77d35d425e894bc",
+    "3d337961269104bc18bfbd69b99e676bd207263351044f8c593ef3ba3e5fc192",
+    "9de008bcf120978fb154d8db12dacafe2b427d9262b873bf5ef8e7aaf51ec7cb",
+    "b6ac5aa91c848f4984bb52a51fa231a52e77abec3b144889d6111b2f69764494",
+)
+
+
 def test_absolute_time_schedules_match_heap_reference():
-    for chunk in (None, 1, 3):
-        for seed in range(6):
-            runs = []
-            for sim_cls in (Simulator, HeapSimulator):
-                sim = sim_cls()
-                if chunk is not None and sim_cls is Simulator:
-                    sim.RUN_CHUNK = chunk
-                log = _drive_fused(sim, seed)
-                sim.run_until_idle()
-                runs.append(log)
-            assert runs[0] == runs[1]
+    for seed, digest in enumerate(FUSED_DIGESTS):
+        sim = Simulator()
+        log = _drive_fused(sim, seed)
+        sim.run_until_idle()
+        assert _digest(log) == digest, seed
 
 
 def _drive_quiet(sim, seed, max_spawn=300):
@@ -147,24 +164,28 @@ def _drive_quiet(sim, seed, max_spawn=300):
     return log
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3])
-def test_quiet_matches_heap_reference(chunk):
-    for seed in range(6):
-        runs = []
-        for sim_cls in (Simulator, HeapSimulator):
-            sim = sim_cls()
-            if chunk is not None and sim_cls is Simulator:
-                sim.RUN_CHUNK = chunk
-            log = _drive_quiet(sim, seed)
-            sim.run_until_idle()
-            runs.append(log)
-        assert runs[0] == runs[1]
-        assert {q for _t, _v, q in runs[0]} == {True, False}
+#: ``_drive_quiet`` digests, seeds 0-5
+QUIET_DIGESTS = (
+    "d3058c29d041d3dbe0c1fef6c06d64e6369bd468946bbd9e09e2738ec873277d",
+    "9ca06aafe1ce5aa3611d10543b2b8eb56bdd5501312c9a3daa1c9eb2b8c81c05",
+    "236e29efb5962aed17ffcab4ef2a659d4531e28dd433d9a9e3f0776b03fa0b33",
+    "bca52ae830bd8fd6abc06e1d8e43db451d1cee011fbf6a17f1a86f0c26672d4a",
+    "b82acf6dc041627904c0f63f6c619ef223a19814ce1bce4517f67399987e40e6",
+    "420146af8a2502eef9501a9f260c95e19511d2a4a81d8b8e23785b3b4e327d8b",
+)
 
 
-@pytest.mark.parametrize("sim_cls", [Simulator, HeapSimulator])
-def test_quiet_sees_other_work_due_now(sim_cls):
-    sim = sim_cls()
+def test_quiet_matches_heap_reference():
+    for seed, digest in enumerate(QUIET_DIGESTS):
+        sim = Simulator()
+        log = _drive_quiet(sim, seed)
+        sim.run_until_idle()
+        assert _digest(log) == digest, seed
+        assert {q for _t, _v, q in log} == {True, False}
+
+
+def test_quiet_sees_other_work_due_now():
+    sim = Simulator()
     seen = []
     sim.timeout(1.0).add_callback(lambda e: seen.append(("tie", sim.quiet())))
     sim.timeout(1.0)  # a second entry at the same instant
@@ -184,8 +205,8 @@ def test_quiet_sees_other_work_due_now(sim_cls):
     ]
 
 
-def _producer_consumer(sim_cls):
-    sim = sim_cls()
+def _producer_consumer():
+    sim = Simulator()
     store = Store(sim)
     log = []
 
@@ -209,7 +230,42 @@ def _producer_consumer(sim_cls):
 
 
 def test_process_and_store_handoff_matches_heap_reference():
-    assert _producer_consumer(Simulator) == _producer_consumer(HeapSimulator)
+    assert _digest(_producer_consumer()) == (
+        "862bd69d90663121bf86f8fab4329fbea9618833694d4b4f3d19beb83c366ddb"
+    )
+
+
+def test_delay_collapsing_into_now_fires_after_entries_already_due():
+    """At a clock of 2**60 ns one float ulp is 256 ns, so a 1 ns delay
+    rounds to ``now`` itself.  That entry ties with everything already
+    due at ``now`` and must fire after them and before anything
+    scheduled later, in plain seq order."""
+    sim = Simulator()
+    log = []
+    sim.run(until=2.0 ** 60)
+
+    def record(e):
+        log.append((sim.now, e.value))
+
+    for i in range(3):
+        sim.timeout(0.0, "due%d" % i).add_callback(record)
+
+    def collapse(e):
+        record(e)
+        sim.timeout(1.0, "collapsed").add_callback(record)
+        sim.timeout(0.0, "zero").add_callback(record)
+
+    sim.timeout(1.0, "first-collapse").add_callback(collapse)
+    sim.timeout(0.0, "due3").add_callback(record)
+    sim.timeout(512.0, "next-ulp").add_callback(record)
+    sim.run_until_idle()
+    assert [value for _time, value in log] == [
+        "due0", "due1", "due2", "first-collapse", "due3", "collapsed",
+        "zero", "next-ulp",
+    ]
+    assert _digest(log) == (
+        "6d7a1056293721feb86c47ebe60e3f3f973493090822caf3542ffce228384318"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,10 @@ def test_cli_chaos_scenario_prints_the_outcome_table(capsys):
 def test_chaos_fingerprint_is_pinned():
     """The seed-7 default-horizon fingerprint, pinned byte for byte.
 
-    This hash was recorded on the single-heap calendar before the
-    event-engine overhaul; the sorted-run calendar (and every
-    optimisation since) must keep reproducing it exactly.  If an engine
-    change breaks this, it changed dispatch order — see
-    tests/test_engine_calendar.py for the side-by-side oracle.
+    This hash was recorded on the single-heap calendar, and every
+    engine optimisation since must keep reproducing it exactly.  If an
+    engine change breaks this, it changed dispatch order — see
+    tests/test_engine_calendar.py for the pinned dispatch digests.
     """
     report = run_chaos(seed=7)
     assert report.ok, report.violations

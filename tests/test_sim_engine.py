@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Event, Simulator, Timeout
-from repro.sim.engine import all_of
 
 
 def test_clock_starts_at_zero():
@@ -148,23 +147,6 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(12.0)
     assert sim.peek() == 12.0
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    events = [sim.timeout(t, t) for t in (30.0, 10.0, 20.0)]
-    done = []
-    all_of(sim, events).add_callback(lambda e: done.append((sim.now, e.value)))
-    sim.run_until_idle()
-    assert done == [(30.0, [30.0, 10.0, 20.0])]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    done = []
-    all_of(sim, []).add_callback(lambda e: done.append(e.value))
-    sim.run_until_idle()
-    assert done == [[]]
 
 
 def test_many_processes_interleave_deterministically():
